@@ -139,4 +139,14 @@ cmake --build build-asan -j "${JOBS}" --target test_route_ir
 ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ./build-asan/tests/test_route_ir
 
+echo "== tier 1: exact router under ASan+UBSan =="
+# ExactRouter's state table is hand-written memory code (open addressing
+# over a power-of-two slot array, rehash on growth, 128-bit keys for wide
+# placements); ASan+UBSan over the exact-router tests, golden pin and
+# budget boundary included, catches out-of-bounds probes, reads through
+# references a rehash invalidated, and out-of-range key shifts.
+cmake --build build-asan -j "${JOBS}" --target test_route
+ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
+    ./build-asan/tests/test_route --gtest_filter='ExactRouter.*:Routers.*:*/exact_*'
+
 echo "tier 1 OK"

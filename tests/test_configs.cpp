@@ -21,6 +21,10 @@ struct ConfigCase {
   Device (*builtin)();
 };
 
+// Without a printer gtest dumps the raw bytes of the struct — two pointers
+// that ASLR moves on every build — into each case's ctest name.
+void PrintTo(const ConfigCase& param, std::ostream* os) { *os << param.file; }
+
 Device qdot2x5() { return devices::quantum_dot_array(2, 5); }
 
 class ShippedConfig : public testing::TestWithParam<ConfigCase> {};

@@ -10,7 +10,13 @@
 // instances; naive >= smarter routers on the Fig. 3 example).
 #include <gtest/gtest.h>
 
+#include <cstdlib>
+#include <fstream>
+#include <map>
+
 #include "arch/builtin.hpp"
+#include "arch/config.hpp"
+#include "common/digest.hpp"
 #include "core/compiler.hpp"
 #include "decompose/decomposer.hpp"
 #include "layout/placers.hpp"
@@ -174,22 +180,34 @@ INSTANTIATE_TEST_SUITE_P(AllCombinations, RouterProperty,
 
 // --- Router-specific guarantees ---
 
+/// Dependency-chain CNOTs (each shares a qubit with its predecessor), the
+/// instance family of bench_exact_scalability: no commuting freedom, so
+/// the order-exact router lower-bounds every heuristic.
+Circuit chain_circuit(int n, int gates, Rng& rng) {
+  Circuit circuit(n, "chain" + std::to_string(n));
+  int previous = 0;
+  for (int g = 0; g < gates; ++g) {
+    int other = static_cast<int>(rng.index(static_cast<std::size_t>(n - 1)));
+    if (other >= previous) ++other;
+    circuit.cx(previous, other);
+    previous = other;
+  }
+  return circuit;
+}
+
+/// bench_exact_scalability's n-qubit instance on devices::linear(n).
+Circuit exact_scalability_chain(int n) {
+  Rng rng(1000 + static_cast<std::uint64_t>(n));
+  return chain_circuit(n, 12, rng);
+}
+
 TEST(ExactRouter, NeverWorseThanHeuristicsOnQx4) {
   // Exact minimality holds w.r.t. the given total gate order, so compare on
-  // circuits whose dependency DAG is a chain (each CNOT shares a qubit with
-  // its predecessor): there the heuristics have no reordering freedom.
+  // chain circuits: there the heuristics have no reordering freedom.
   const Device qx4 = devices::ibm_qx4();
   Rng rng(7);
   for (int trial = 0; trial < 6; ++trial) {
-    Circuit circuit(4, "chain");
-    int previous = 0;
-    for (int g = 0; g < 10; ++g) {
-      int other =
-          static_cast<int>(rng.index(static_cast<std::size_t>(3)));
-      if (other >= previous) ++other;
-      circuit.cx(previous, other);
-      previous = other;
-    }
+    const Circuit circuit = chain_circuit(4, 10, rng);
     const Placement initial =
         Placement::identity(circuit.num_qubits(), qx4.num_qubits());
     const RoutingResult exact = ExactRouter().route(circuit, qx4, initial);
@@ -234,6 +252,211 @@ TEST(ExactRouter, ThrowsWhenStateBudgetExceeded) {
   EXPECT_THROW((void)ExactRouter(options).route(
                    circuit, grid, Placement::identity(8, 9)),
                MappingError);
+}
+
+// --- Exact router: golden pin, budget boundary, key-encoding edges ---
+//
+// ExactRouter packs each search state (pending gate, placement) into one
+// integer whose numeric order is the lexicographic state order, so the
+// Dijkstra pops, tie-breaks and settles states in a fixed order. The
+// golden file pins the results of that order; regenerate it only after an
+// intentional behavior change:
+//   QMAP_REGEN_GOLDEN=1 ./build/tests/test_route
+//       --gtest_filter='ExactRouter.MatchesGoldenFingerprints'
+// then review and commit the diff.
+
+std::string exact_golden_path() {
+  return std::string(QMAP_GOLDEN_DIR) + "/exact_fingerprints.txt";
+}
+
+std::string routing_digest(const RoutingResult& result) {
+  return content_digest(result.circuit.to_string() + "|" +
+                        result.initial.to_string() + "|" +
+                        result.final.to_string() + "|" +
+                        std::to_string(result.added_swaps) + "|" +
+                        std::to_string(result.direction_fixes));
+}
+
+/// Program qubit k on physical qubit k, with every coupling edge among the
+/// first n physical qubits run once as a CX: all-adjacent, so the exact
+/// router must answer with zero SWAPs however wide the state key gets.
+Circuit edge_circuit(const Device& device, int n) {
+  Circuit circuit(n, "edges" + std::to_string(n));
+  for (const auto& edge : device.coupling().edges()) {
+    if (edge.a < n && edge.b < n) circuit.cx(edge.a, edge.b);
+  }
+  return circuit;
+}
+
+/// `edge_circuit` plus one CX between physical qubit 0 and the first
+/// qubit at hop distance 2 from it: exactly one SWAP is due.
+Circuit edge_circuit_plus_swap(const Device& device, int n) {
+  Circuit circuit = edge_circuit(device, n);
+  for (int q = 1; q < n; ++q) {
+    if (device.coupling().distance(0, q) == 2) {
+      circuit.cx(0, q);
+      return circuit;
+    }
+  }
+  throw std::runtime_error("no distance-2 partner of qubit 0");
+}
+
+/// ExactRouter on `circuit` lowered for `device` (as the pipeline does).
+RoutingResult route_exact(const Circuit& circuit, const Device& device,
+                          const Placement& initial,
+                          const ExactRouter::Options& options = {}) {
+  const Circuit input = lower_to_device(circuit, device, /*keep_swaps=*/true);
+  return ExactRouter(options).route(input, device, initial);
+}
+
+std::map<std::string, std::string> exact_digests() {
+  std::map<std::string, std::string> out;
+  // greedy+exact compiles of the paper circuits on the committed configs.
+  const std::vector<std::pair<std::string, Circuit>> circuits = {
+      {"fig1", workloads::fig1_example()},
+      {"qft5", workloads::qft(5)},
+      {"bv4", workloads::bernstein_vazirani({1, 0, 1, 1})},
+      {"ghz5", workloads::ghz(5)},
+      {"grover3", workloads::grover(3, 5)}};
+  for (const char* config : {"ibm_qx4", "ibm_qx5", "surface17"}) {
+    const Device device = load_device(std::string(QMAP_CONFIG_DIR) + "/" +
+                                      config + ".json");
+    CompilerOptions options;
+    options.placer = "greedy";
+    options.router = "exact";
+    const Compiler compiler(device, options);
+    for (const auto& [name, circuit] : circuits) {
+      out["compile:" + name + "@" + config] =
+          content_digest(compiler.compile(circuit).fingerprint());
+    }
+  }
+  // bench_exact_scalability's chain instances.
+  for (int n = 3; n <= 7; ++n) {
+    const Device line = devices::linear(n);
+    const RoutingResult result = ExactRouter().route(
+        exact_scalability_chain(n), line, Placement::identity(n, n));
+    out["route:chain" + std::to_string(n) + "@linear" + std::to_string(n)] =
+        routing_digest(result);
+  }
+  // Key-encoding edges. QX5 has 16 qubits, so a placement digit of 15
+  // fills every digit bit; Surface-17 needs 5 bits per digit, so 13
+  // program qubits put a digit across bit 64.
+  const Device qx5 = devices::ibm_qx5();
+  const Device s17 = devices::surface17();
+  out["route:ghz16@ibm_qx5"] = routing_digest(
+      route_exact(workloads::ghz(16), qx5, Placement::identity(16, 16)));
+  out["route:edges16@ibm_qx5"] = routing_digest(
+      route_exact(edge_circuit(qx5, 16), qx5, Placement::identity(16, 16)));
+  out["route:edges13@surface17"] = routing_digest(
+      route_exact(edge_circuit(s17, 13), s17, Placement::identity(13, 17)));
+  out["route:edges13swap@surface17"] =
+      routing_digest(route_exact(edge_circuit_plus_swap(s17, 13), s17,
+                                 Placement::identity(13, 17)));
+  out["route:edges16swap@ibm_qx5"] =
+      routing_digest(route_exact(edge_circuit_plus_swap(qx5, 16), qx5,
+                                 Placement::identity(16, 16)));
+  out["route:qft5top@ibm_qx5"] = routing_digest(route_exact(
+      workloads::qft(5), qx5,
+      Placement::from_program_map({15, 14, 13, 12, 11}, 16)));
+  out["route:qft5top@surface17"] = routing_digest(route_exact(
+      workloads::qft(5), s17,
+      Placement::from_program_map({16, 15, 14, 13, 12}, 17)));
+  return out;
+}
+
+TEST(ExactRouter, MatchesGoldenFingerprints) {
+  const std::map<std::string, std::string> actual = exact_digests();
+
+  const char* regen = std::getenv("QMAP_REGEN_GOLDEN");
+  if (regen != nullptr && *regen != '\0') {
+    std::ofstream out(exact_golden_path(), std::ios::binary);
+    ASSERT_TRUE(out) << "cannot write " << exact_golden_path();
+    for (const auto& [id, digest] : actual) out << id << ' ' << digest << '\n';
+    GTEST_SKIP() << "regenerated " << exact_golden_path();
+  }
+
+  std::map<std::string, std::string> golden;
+  std::ifstream in(exact_golden_path());
+  std::string id;
+  std::string digest;
+  while (in >> id >> digest) golden[id] = digest;
+  ASSERT_FALSE(golden.empty())
+      << "no golden fingerprints at " << exact_golden_path()
+      << " (QMAP_REGEN_GOLDEN=1 generates them)";
+  ASSERT_EQ(actual.size(), golden.size());
+  for (const auto& [case_id, case_digest] : actual) {
+    const auto it = golden.find(case_id);
+    ASSERT_NE(it, golden.end()) << "missing golden for " << case_id;
+    EXPECT_EQ(case_digest, it->second) << case_id << ": exact router drifted";
+  }
+}
+
+TEST(ExactRouter, WideAllAdjacentInputsNeedNoSwaps) {
+  // 16 program qubits on QX5 need a key wider than 64 bits; the wide key
+  // must route what fits without any SWAP, and stay legal when one is due.
+  const Device qx5 = devices::ibm_qx5();
+  const Circuit ghz16 = workloads::ghz(16);
+  const RoutingResult result =
+      route_exact(ghz16, qx5, Placement::identity(16, 16));
+  EXPECT_EQ(result.added_swaps, 0u);
+  Circuit legal = fix_cx_directions(expand_swaps(result.circuit, qx5), qx5);
+  EXPECT_TRUE(respects_coupling(legal, qx5));
+
+  const Device s17 = devices::surface17();
+  const RoutingResult swapped = route_exact(edge_circuit_plus_swap(s17, 13),
+                                            s17, Placement::identity(13, 17));
+  EXPECT_EQ(swapped.added_swaps, 1u);
+  legal = fix_cx_directions(expand_swaps(swapped.circuit, s17), s17);
+  EXPECT_TRUE(respects_coupling(legal, s17));
+}
+
+TEST(ExactRouter, RejectsStatesWiderThanTheWideKey) {
+  // 26 program qubits on a 26-qubit line need 26 x 5 placement bits plus
+  // the gate digit: more than 128. The router refuses up front instead of
+  // truncating the state.
+  const Device line = devices::linear(26);
+  try {
+    (void)ExactRouter().route(workloads::ghz(26), line,
+                              Placement::identity(26, 26));
+    ADD_FAILURE() << "a 135-bit state should be rejected";
+  } catch (const MappingError& e) {
+    EXPECT_NE(std::string(e.what()).find("128-bit state key"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+// The smallest state budgets these searches succeed with, found by
+// bisection on the std::map search that preceded the packed-key table.
+// Dijkstra settles states in a fixed order, so any change to which states
+// are stored, or when, moves the boundary.
+constexpr std::size_t kQft5Qx5GreedyMinStates = 45110;
+constexpr std::size_t kChain6MinStates = 6173;
+
+void expect_budget_boundary(const Circuit& circuit, const Device& device,
+                            const Placement& initial, std::size_t budget) {
+  ExactRouter::Options options;
+  options.max_states = budget;
+  EXPECT_NO_THROW((void)route_exact(circuit, device, initial, options));
+  options.max_states = budget - 1;
+  try {
+    (void)route_exact(circuit, device, initial, options);
+    ADD_FAILURE() << "budget " << budget - 1 << " should be exceeded";
+  } catch (const MappingError& e) {
+    EXPECT_NE(std::string(e.what()).find("state budget exceeded"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(ExactRouter, StateBudgetBoundaryIsPinned) {
+  const Device qx5 = devices::ibm_qx5();
+  const Circuit qft5 = workloads::qft(5);
+  const Placement greedy =
+      GreedyPlacer().place(lower_to_device(qft5, qx5, true), qx5);
+  expect_budget_boundary(qft5, qx5, greedy, kQft5Qx5GreedyMinStates);
+  expect_budget_boundary(exact_scalability_chain(6), devices::linear(6),
+                         Placement::identity(6, 6), kChain6MinStates);
 }
 
 TEST(Routers, NaiveIsTheOverheadBaselineOnFig1Skeleton) {
